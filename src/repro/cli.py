@@ -842,41 +842,33 @@ def _cmd_repair(args) -> int:
         pipelined = f" pipelining={args.pipelining}"
         if args.slices:
             pipelined += f" slices={args.slices}"
-    if args.transport == "memory":
-        print(
-            f"repaired {summary.chunks_repaired} chunks "
-            f"(+{getattr(summary.result, 'recovered_chunks', 0)} recovered) "
-            f"in {summary.total_time:.2f}s over {len(summary.round_times)} "
-            f"rounds; retries={summary.retries} replans={summary.replans} "
-            f"coordinator_restarts={summary.restarts}{pipelined}"
-        )
-        print(
-            f"post-repair scrub: {report.chunks_checked} chunks checked, "
-            f"{len(report.corrupt)} corrupt"
-        )
-        if not report.clean:
-            for corrupt in report.corrupt:
-                print(
-                    f"corrupt chunk: stripe {corrupt.stripe_id} "
-                    f"index {corrupt.chunk_index} at node "
-                    f"{corrupt.node_id}",
-                    file=sys.stderr,
-                )
-            return 1
-        print("all repaired chunks verified byte-identical")
-        return 0
-    sharded = (
+    restarts = (
         f" ({args.coordinators} coordinators, {summary.restarts} takeovers)"
         if args.coordinators > 1
-        else ""
+        else f" coordinator_restarts={summary.restarts}"
     )
-    wire = "shared memory" if args.transport == "shm" else "TCP"
+    wire = {"memory": "memory", "tcp": "TCP", "shm": "shared memory"}
     print(
-        f"repaired {summary.chunks_repaired} chunks over {wire} in "
-        f"{summary.total_time:.2f}s{sharded}{pipelined}; "
+        f"repaired {summary.chunks_repaired} chunks "
+        f"(+{getattr(summary.result, 'recovered_chunks', 0)} recovered) "
+        f"over {wire[args.transport]} in {summary.total_time:.2f}s, "
+        f"{len(summary.round_times)} rounds; retries={summary.retries} "
+        f"replans={summary.replans}{restarts}{pipelined}; "
         f"{summary.chunks_verified} chunks verified byte-identical"
     )
-    return 0
+    if report is None:
+        return 0
+    print(
+        f"post-repair scrub: {report.chunks_checked} chunks checked, "
+        f"{len(report.corrupt)} corrupt"
+    )
+    for corrupt in report.corrupt:
+        print(
+            f"corrupt chunk: stripe {corrupt.stripe_id} "
+            f"index {corrupt.chunk_index} at node {corrupt.node_id}",
+            file=sys.stderr,
+        )
+    return 0 if report.clean else 1
 
 
 def _load_runtime_config(path):
@@ -896,18 +888,14 @@ def _cmd_agent(args) -> int:
     from pathlib import Path
 
     from .cluster import snapshot as snapshot_mod
-    from .net import (
-        PeerSpecError,
-        parse_peer_spec,
-        run_agent_process,
-        run_shm_agent_process,
-        shm_available,
-    )
+    from .gateway import CLIENT_ID, GATEWAY_ID
+    from .net import run_agent_process, shm_available, shm_network
     from .runtime import FaultPlan
     from .runtime.coordinator import COORDINATOR_ID
 
     cluster = snapshot_mod.load(args.snapshot)
     codec = _infer_codec(cluster)
+    config = _load_runtime_config(args.config)
     faults = None
     if args.fault_plan is not None:
         with open(args.fault_plan) as f:
@@ -918,6 +906,8 @@ def _cmd_agent(args) -> int:
             except ValueError as exc:
                 print(f"bad --fault-plan: {exc}", file=sys.stderr)
                 return 2
+    node = cluster.node(args.node)
+    local = {args.node: node.network_bandwidth or cluster.network_bandwidth}
     if args.transport == "shm":
         if not shm_available():
             print(
@@ -925,44 +915,29 @@ def _cmd_agent(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        loaded = run_shm_agent_process(
-            cluster,
-            codec,
-            args.node,
+        # Rings attach lazily, so the gateway/client endpoints cost
+        # nothing unless a gateway happens to share the workdir.
+        network = shm_network(
             Path(args.workdir),
-            seed=args.seed,
-            config=_load_runtime_config(args.config),
-            load_data=not args.no_load,
-            faults=faults,
+            args.node,
+            list(cluster.nodes) + [COORDINATOR_ID, GATEWAY_ID, CLIENT_ID],
+            config=config,
+            local=local,
         )
-        print(f"agent {args.node} done ({loaded} chunks served)")
-        return 0
-    if args.peers is None or args.listen is None:
-        print(
-            "--transport tcp needs --listen and --peers", file=sys.stderr
+    else:
+        network = _tcp_network_from_args(
+            args, args.node, config=config, local=local
         )
-        return 2
-    try:
-        peers = parse_peer_spec(args.peers)
-    except PeerSpecError as exc:
-        print(f"bad --peers: {exc}", file=sys.stderr)
-        return 2
-    if COORDINATOR_ID not in peers:
-        print("--peers must include coordinator=host:port", file=sys.stderr)
-        return 2
-    host, sep, port = args.listen.rpartition(":")
-    if not sep:
-        print("--listen must be host:port", file=sys.stderr)
-        return 2
+        if network is None:
+            return 2
     loaded = run_agent_process(
         cluster,
         codec,
         args.node,
-        (host, int(port)),
-        peers,
+        network,
         Path(args.workdir),
         seed=args.seed,
-        config=_load_runtime_config(args.config),
+        config=config,
         load_data=not args.no_load,
         faults=faults,
     )
@@ -970,9 +945,15 @@ def _cmd_agent(args) -> int:
     return 0
 
 
-def _gateway_tcp_network(args, own_id: int):
-    """Build a listening TcpNetwork for a gateway-side CLI process."""
-    from .net import PeerSpecError, TcpNetwork, parse_peer_spec
+def _tcp_network_from_args(args, own_id: int, config=None, local=None):
+    """A listening TcpNetwork from ``--listen``/``--peers``.
+
+    Returns None after printing the problem when the flags are unusable.
+    A storage agent (``own_id >= 0``) needs the coordinator among its
+    peers.
+    """
+    from .net import PeerSpecError, parse_peer_spec, tcp_network
+    from .runtime.coordinator import COORDINATOR_ID
 
     if args.listen is None or args.peers is None:
         print(
@@ -984,23 +965,24 @@ def _gateway_tcp_network(args, own_id: int):
     except PeerSpecError as exc:
         print(f"bad --peers: {exc}", file=sys.stderr)
         return None
+    if own_id >= 0 and COORDINATOR_ID not in peers:
+        print("--peers must include coordinator=host:port", file=sys.stderr)
+        return None
     host, sep, port = args.listen.rpartition(":")
     if not sep:
         print("--listen must be host:port", file=sys.stderr)
         return None
-    network = TcpNetwork()
-    network.listen(host, int(port))
-    for peer_id, (peer_host, peer_port) in peers.items():
-        if peer_id != own_id:
-            network.add_peer(peer_id, peer_host, peer_port)
-    return network
+    peers.pop(own_id, None)
+    return tcp_network(
+        peers, listen=(host, int(port)), config=config, local=local
+    )
 
 
 def _gateway_shm_network(args, own_id: int, peer_ids):
     """Build a listening ShmNetwork keyed off the shared workdir."""
     from pathlib import Path
 
-    from .net import ShmNetwork, shm_available, shm_ring_name
+    from .net import shm_available, shm_network, shm_ring_name
 
     if not shm_available():
         print(
@@ -1009,23 +991,17 @@ def _gateway_shm_network(args, own_id: int, peer_ids):
         )
         return None
     workdir = Path(args.workdir)
-    network = ShmNetwork()
-    ring = shm_ring_name(workdir, own_id)
     try:
-        network.listen(ring)
+        return shm_network(workdir, own_id, peer_ids)
     except FileExistsError:
         # A crashed previous process (usually a one-shot client) left
         # its segment linked; reclaim the name and retry once.
         from multiprocessing import shared_memory
 
-        stale = shared_memory.SharedMemory(name=ring)
+        stale = shared_memory.SharedMemory(name=shm_ring_name(workdir, own_id))
         stale.close()
         stale.unlink()
-        network.listen(ring)
-    for peer_id in peer_ids:
-        if peer_id != own_id:
-            network.add_peer(peer_id, shm_ring_name(workdir, peer_id))
-    return network
+        return shm_network(workdir, own_id, peer_ids)
 
 
 def _cmd_gateway(args) -> int:
@@ -1055,7 +1031,7 @@ def _cmd_gateway_serve(args) -> int:
             args, GATEWAY_ID, list(cluster.nodes) + [CLIENT_ID]
         )
     else:
-        network = _gateway_tcp_network(args, GATEWAY_ID)
+        network = _tcp_network_from_args(args, GATEWAY_ID)
     if network is None:
         return 2
     arbiter = TrafficArbiter(
@@ -1097,7 +1073,7 @@ def _cmd_gateway_client(args) -> int:
     if args.transport == "shm":
         network = _gateway_shm_network(args, CLIENT_ID, [GATEWAY_ID])
     else:
-        network = _gateway_tcp_network(args, CLIENT_ID)
+        network = _tcp_network_from_args(args, CLIENT_ID)
     if network is None:
         return 2
     client = ObjectClient(network, timeout=args.timeout)

@@ -1,18 +1,17 @@
-"""repro.net — versioned wire protocol + TCP transport (DESIGN.md §10).
+"""repro.net — versioned wire protocol + TCP and shm transports.
 
 The runtime's messages travel either over the in-memory fabric
-(:class:`repro.runtime.transport.Network`) or, via this package, over
-real sockets between separate OS processes: :mod:`repro.net.wire`
-defines the length-prefixed CRC-checked frame format and
-:class:`repro.net.tcp.TcpNetwork` implements the shared
-:class:`~repro.runtime.transport.Transport` interface on asyncio TCP.
-:mod:`repro.net.launch` holds the process-per-node drivers behind
-``fastpr agent`` and ``fastpr repair --transport tcp``.
-
-The per-transport repair drivers (``run_tcp_repair`` and friends) are
-internal to :mod:`repro.net.launch` since the one-release deprecation
-shims were removed; drive repairs through
-:class:`repro.RepairSession` instead.
+(:class:`repro.runtime.transport.Network`) or, via this package,
+between separate OS processes: :mod:`repro.net.wire` defines the
+length-prefixed CRC-checked frame format, and
+:class:`repro.net.tcp.TcpNetwork` (asyncio TCP, DESIGN.md §10) and
+:class:`repro.net.shm.ShmNetwork` (shared-memory rings, §13) implement
+the shared :class:`~repro.runtime.transport.Transport` interface.
+:mod:`repro.net.launch` builds one process's transport
+(:func:`tcp_network`, :func:`shm_network`) and runs the standalone
+agent behind ``fastpr agent``.  The coordinator side of a repair is
+:class:`repro.runtime.RepairDriver` on every transport; drive repairs
+through :class:`repro.RepairSession`.
 """
 
 from .launch import (
@@ -23,10 +22,10 @@ from .launch import (
     load_node_data,
     parse_peer_spec,
     run_agent_process,
-    run_shm_agent_process,
     sharded_peer_spec,
+    shm_network,
     shm_ring_name,
-    stripe_checksums,
+    tcp_network,
 )
 from .shm import ShmNetwork, ShmRing, shm_available
 from .tcp import TcpNetwork
@@ -63,8 +62,8 @@ __all__ = [
     "load_node_data",
     "parse_peer_spec",
     "run_agent_process",
-    "run_shm_agent_process",
     "sharded_peer_spec",
+    "shm_network",
     "shm_ring_name",
-    "stripe_checksums",
+    "tcp_network",
 ]

@@ -1,9 +1,12 @@
-"""Process-per-node launch: standalone agents and the TCP repair driver.
+"""Process-per-node launch: peer specs, transports and standalone agents.
 
-This module is the glue behind ``fastpr agent`` and
-``fastpr repair --transport tcp``: it turns a cluster snapshot plus a
-peer map into real OS processes talking :mod:`repro.net.wire` frames
-over :class:`~repro.net.tcp.TcpNetwork`.
+This module is the glue behind ``fastpr agent`` and the wire
+transports of ``fastpr repair``: it turns a cluster snapshot plus a
+peer map (TCP) or a shared workdir (shm) into listening transports
+(:func:`tcp_network`, :func:`shm_network`) for real OS processes
+talking :mod:`repro.net.wire` frames.  The coordinator's side of the
+repair is :class:`~repro.runtime.driver.RepairDriver`, the same on
+every transport.
 
 Peer specs name every process's listen address::
 
@@ -14,12 +17,12 @@ same keys.  ``coordinator`` (or ``-1``) is the coordinator's address;
 integer keys are storage nodes.
 
 Data loading is deterministic and *distributed*: every agent process
-walks the same :func:`~repro.runtime.testbed.iter_encoded_stripes`
+walks the same :func:`~repro.runtime.driver.iter_encoded_stripes`
 stream — one sequential RNG seeded identically everywhere — and keeps
-only its own node's chunks.  The driver recomputes the same stream's
-checksums, so after the repair it can prove, from the shared
-``--workdir`` filesystem, that every repaired chunk is byte-identical
-to the original without any chunk ever crossing a non-repair channel.
+only its own node's chunks.  The driver hashes the same stream, so
+after the repair it can prove, from the shared ``--workdir``
+filesystem, that every repaired chunk is byte-identical to the
+original without any chunk ever crossing a non-repair channel.
 """
 
 from __future__ import annotations
@@ -27,38 +30,21 @@ from __future__ import annotations
 import hashlib
 import json
 import socket
-import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..cluster.chunk import NodeId
 from ..cluster.cluster import StorageCluster
-from ..core.plan import RepairPlan
 from ..ec.codec import ErasureCodec
 from ..gateway.store import CLIENT_ID, GATEWAY_ID
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracing import Tracer
-from ..cluster.topology import RackTopology
 from ..runtime.agent import Agent
 from ..runtime.config import DEFAULT_CONFIG, RuntimeConfig
-from ..runtime.coordinator import (
-    COORDINATOR_ID,
-    Coordinator,
-    RuntimeResult,
-    shard_coordinator_id,
-)
-from ..runtime.datanode import ChunkStore
+from ..runtime.coordinator import COORDINATOR_ID, shard_coordinator_id
+from ..runtime.datanode import ChunkStore, node_store
+from ..runtime.driver import iter_encoded_stripes
 from ..runtime.faults import FaultInjector, FaultPlan
-from ..runtime.journal import RepairJournal
 from ..runtime.messages import Shutdown
-from ..runtime.multicoord import MultiCoordinator, MultiRepairResult
-from ..runtime.testbed import (
-    ChunkMismatch,
-    VerificationError,
-    iter_encoded_stripes,
-    mismatch_error,
-)
-from ..runtime.throttle import RateLimiter
 from .shm import ShmNetwork
 from .tcp import TcpNetwork
 
@@ -70,6 +56,8 @@ GATEWAY_ALIAS = "gateway"
 CLIENT_ALIAS = "client"
 
 PeerMap = Dict[NodeId, Tuple[str, int]]
+#: node ids a process hosts itself -> their NIC bandwidth (None = unthrottled)
+LocalNodes = Dict[NodeId, Optional[float]]
 
 
 # ----------------------------------------------------------------------
@@ -250,103 +238,92 @@ def load_node_data(
     return loaded
 
 
-def stripe_checksums(
-    cluster: StorageCluster, codec: ErasureCodec, seed: Optional[int]
-) -> Dict[Tuple[int, int], str]:
-    """SHA-256 of every ``(stripe_id, chunk_index)`` in the data set."""
-    checksums: Dict[Tuple[int, int], str] = {}
-    for stripe, coded in iter_encoded_stripes(cluster, codec, seed):
-        for index in range(len(coded)):
-            checksums[(stripe.stripe_id, index)] = hashlib.sha256(
-                coded[index]
-            ).hexdigest()
-    return checksums
+# ----------------------------------------------------------------------
+# per-process transports and the standalone agent
+# ----------------------------------------------------------------------
 
 
-def verify_actions(
-    actions: Iterable,
-    checksums: Dict[Tuple[int, int], str],
-    workdir: Path,
-) -> int:
-    """Prove repaired chunks byte-identical via the shared filesystem.
+def tcp_network(
+    peers: PeerMap,
+    listen: Optional[Tuple[str, int]] = None,
+    config: Optional[RuntimeConfig] = None,
+    metrics: Optional[MetricsRegistry] = None,
+    local: Optional[LocalNodes] = None,
+) -> TcpNetwork:
+    """A listening :class:`TcpNetwork` for one process.
 
-    Reads each executed action's destination store directory
-    (``workdir/node_<id>``) and compares against the deterministic
-    originals; raises :class:`VerificationError` on any mismatch,
-    collecting every failing chunk (not just the first) into the
-    error's ``mismatches``.  Returns the number of chunks verified.
+    ``local`` nodes are attached before the socket opens, so no early
+    frame finds them missing; every other entry of ``peers`` becomes a
+    remote peer.
     """
-    verified = 0
-    mismatches = []
-    for action in actions:
-        path = (
-            Path(workdir)
-            / f"node_{action.destination}"
-            / f"stripe_{action.stripe_id}.chunk"
-        )
-        if not path.exists():
-            mismatches.append(
-                ChunkMismatch(
-                    action.stripe_id,
-                    action.chunk_index,
-                    action.destination,
-                    "missing",
-                )
-            )
-            continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        expected = checksums[(action.stripe_id, action.chunk_index)]
-        if digest != expected:
-            mismatches.append(
-                ChunkMismatch(
-                    action.stripe_id,
-                    action.chunk_index,
-                    action.destination,
-                    "mismatch",
-                )
-            )
-            continue
-        verified += 1
-    if mismatches:
-        raise mismatch_error(mismatches)
-    return verified
-
-
-# ----------------------------------------------------------------------
-# standalone agent process
-# ----------------------------------------------------------------------
-
-
-def node_store(
-    cluster: StorageCluster, workdir: Path, node_id: NodeId
-) -> ChunkStore:
-    """Build ``node_id``'s chunk store under the shared workdir."""
-    node = cluster.node(node_id)
-    disk = RateLimiter(
-        node.disk_bandwidth or cluster.disk_bandwidth,
-        name=f"disk[{node_id}]",
+    cfg = config or DEFAULT_CONFIG
+    local = local or {}
+    network = TcpNetwork(
+        metrics=metrics,
+        inbox_capacity=cfg.inbox_capacity,
+        send_queue_capacity=cfg.send_queue_capacity,
+        connect_timeout=cfg.connect_timeout,
+        drain_timeout=cfg.drain_timeout,
     )
-    return ChunkStore(Path(workdir) / f"node_{node_id}", node_id, disk)
+    for node_id, bandwidth in local.items():
+        network.attach(node_id, bandwidth)
+    if listen is not None:
+        network.listen(*listen)
+    for peer_id, (host, port) in peers.items():
+        if peer_id not in local:
+            network.add_peer(peer_id, host, port)
+    return network
+
+
+def shm_network(
+    workdir: Path,
+    own_id: NodeId,
+    peer_ids: Iterable[NodeId],
+    config: Optional[RuntimeConfig] = None,
+    metrics: Optional[MetricsRegistry] = None,
+    local: Optional[LocalNodes] = None,
+) -> ShmNetwork:
+    """A listening :class:`ShmNetwork` for the process of ``own_id``.
+
+    No peer spec: it listens on ``own_id``'s ring and reaches every
+    other id of ``peer_ids`` at its :func:`shm_ring_name` under the
+    shared ``workdir``.  Rings attach lazily, so processes may start
+    in any order.  ``local`` is as for :func:`tcp_network`.
+    """
+    cfg = config or DEFAULT_CONFIG
+    local = local or {}
+    network = ShmNetwork(
+        metrics=metrics,
+        inbox_capacity=cfg.inbox_capacity,
+        connect_timeout=cfg.connect_timeout,
+    )
+    for node_id, bandwidth in local.items():
+        network.attach(node_id, bandwidth)
+    network.listen(shm_ring_name(workdir, own_id))
+    for peer_id in peer_ids:
+        if peer_id != own_id and peer_id not in local:
+            network.add_peer(peer_id, shm_ring_name(workdir, peer_id))
+    return network
 
 
 def run_agent_process(
     cluster: StorageCluster,
     codec: ErasureCodec,
     node_id: NodeId,
-    listen: Tuple[str, int],
-    peers: PeerMap,
+    network,
     workdir: Path,
     seed: Optional[int] = None,
     config: Optional[RuntimeConfig] = None,
     load_data: bool = True,
-    metrics: Optional[MetricsRegistry] = None,
     faults: Optional[FaultPlan] = None,
 ) -> int:
     """Run one standalone repair agent until the coordinator shuts it down.
 
-    Blocks until a :class:`~repro.runtime.messages.Shutdown` frame
-    arrives (``fastpr repair --transport tcp`` broadcasts one after the
-    run).  Returns the number of chunks the agent loaded at startup.
+    ``network`` is a built transport (:func:`tcp_network` or
+    :func:`shm_network`) that already hosts ``node_id``.  Blocks until
+    a :class:`~repro.runtime.messages.Shutdown` frame arrives
+    (``fastpr repair`` broadcasts one after the run), then closes the
+    network.  Returns the number of chunks the agent loaded at startup.
 
     ``faults`` injects the same declarative
     :class:`~repro.runtime.faults.FaultPlan` the in-memory testbed
@@ -354,32 +331,16 @@ def run_agent_process(
     so the whole cluster running one shared plan injects each fault
     exactly once.
     """
-    cfg = config or DEFAULT_CONFIG
-    node = cluster.node(node_id)
-    injector = None
     agent_box: list = []
+    injector = None
     if faults is not None:
         def _on_crash(victim: NodeId) -> None:
             if victim == node_id and agent_box:
                 agent_box[0].crash()
 
         injector = FaultInjector(faults, on_crash=_on_crash)
-    network = TcpNetwork(
-        faults=injector,
-        metrics=metrics,
-        inbox_capacity=cfg.inbox_capacity,
-        send_queue_capacity=cfg.send_queue_capacity,
-        connect_timeout=cfg.connect_timeout,
-        drain_timeout=cfg.drain_timeout,
-    )
-    network.attach(
-        node_id, node.network_bandwidth or cluster.network_bandwidth
-    )
-    network.listen(*listen)
-    for peer_id, (host, port) in peers.items():
-        if peer_id != node_id:
-            network.add_peer(peer_id, host, port)
-    store = node_store(cluster, Path(workdir), node_id)
+        network.faults = injector
+    store = node_store(cluster, workdir, node_id)
     loaded = 0
     if load_data:
         loaded = load_node_data(cluster, codec, seed, store, node_id)
@@ -388,8 +349,7 @@ def run_agent_process(
         store,
         network,
         coordinator_id=COORDINATOR_ID,
-        config=cfg,
-        metrics=metrics,
+        config=config or DEFAULT_CONFIG,
     )
     agent_box.append(agent)
     if injector is not None:
@@ -403,424 +363,10 @@ def run_agent_process(
     return loaded
 
 
-def run_shm_agent_process(
-    cluster: StorageCluster,
-    codec: ErasureCodec,
-    node_id: NodeId,
-    workdir: Path,
-    seed: Optional[int] = None,
-    config: Optional[RuntimeConfig] = None,
-    load_data: bool = True,
-    metrics: Optional[MetricsRegistry] = None,
-    faults: Optional[FaultPlan] = None,
-) -> int:
-    """Shared-memory twin of :func:`run_agent_process`.
-
-    No peer spec: the topology is derived entirely from the shared
-    ``workdir`` via :func:`shm_ring_name` — this agent listens on its
-    node's ring and registers every other node plus the coordinator as
-    a peer.  Rings attach lazily, so processes may start in any order.
-    """
-    cfg = config or DEFAULT_CONFIG
-    node = cluster.node(node_id)
-    injector = None
-    agent_box: list = []
-    if faults is not None:
-        def _on_crash(victim: NodeId) -> None:
-            if victim == node_id and agent_box:
-                agent_box[0].crash()
-
-        injector = FaultInjector(faults, on_crash=_on_crash)
-    network = ShmNetwork(
-        faults=injector,
-        metrics=metrics,
-        inbox_capacity=cfg.inbox_capacity,
-        connect_timeout=cfg.connect_timeout,
-    )
-    network.attach(
-        node_id, node.network_bandwidth or cluster.network_bandwidth
-    )
-    network.listen(shm_ring_name(workdir, node_id))
-    # Rings attach lazily, so the gateway/client endpoints are
-    # registered unconditionally — chunk RPC replies reach them when a
-    # gateway happens to share the workdir, and cost nothing otherwise.
-    peer_ids = list(cluster.nodes) + [COORDINATOR_ID, GATEWAY_ID, CLIENT_ID]
-    for peer_id in peer_ids:
-        if peer_id != node_id:
-            network.add_peer(peer_id, shm_ring_name(workdir, peer_id))
-    store = node_store(cluster, Path(workdir), node_id)
-    loaded = 0
-    if load_data:
-        loaded = load_node_data(cluster, codec, seed, store, node_id)
-    agent = Agent(
-        node_id,
-        store,
-        network,
-        coordinator_id=COORDINATOR_ID,
-        config=cfg,
-        metrics=metrics,
-    )
-    agent_box.append(agent)
-    if injector is not None:
-        injector.start()
-    agent.start(heartbeat=True)
-    try:
-        agent.done.wait()
-    finally:
-        agent.stop()
-        network.close()
-    return loaded
-
-
-# ----------------------------------------------------------------------
-# coordinator-side TCP repair driver
-# ----------------------------------------------------------------------
-
-
-def build_coordinator_network(
-    peers: PeerMap,
-    config: RuntimeConfig,
-    metrics: Optional[MetricsRegistry] = None,
-    listen: Optional[Tuple[str, int]] = None,
-    faults: Optional[FaultInjector] = None,
-) -> TcpNetwork:
-    """The coordinator's transport: local coordinator, every node a peer."""
-    network = TcpNetwork(
-        faults=faults,
-        metrics=metrics,
-        inbox_capacity=config.inbox_capacity,
-        send_queue_capacity=config.send_queue_capacity,
-        connect_timeout=config.connect_timeout,
-        drain_timeout=config.drain_timeout,
-    )
-    if listen is not None:
-        network.listen(*listen)
-    for node_id, (host, port) in peers.items():
-        if node_id >= 0:  # coordinator endpoints (< 0) are local
-            network.add_peer(node_id, host, port)
-    return network
-
-
-def wait_for_agents(
-    coordinator: Coordinator, nodes: Iterable[NodeId], timeout: float = 60.0
-) -> None:
-    """Block until every agent answers a ping (or raise on timeout)."""
-    pending = set(nodes) - {COORDINATOR_ID}
-    deadline = time.monotonic() + timeout
-    while pending:
-        pending -= coordinator._probe(set(pending))
-        if not pending:
-            return
-        if time.monotonic() >= deadline:
-            raise TimeoutError(
-                f"agents never came up: {sorted(pending)} unreachable "
-                f"after {timeout}s"
-            )
-        time.sleep(0.2)
-
-
-def shutdown_agents(network: TcpNetwork, nodes: Iterable[NodeId]) -> None:
+def shutdown_agents(network, nodes: Iterable[NodeId]) -> None:
     """Broadcast Shutdown so standalone agent processes exit cleanly."""
     for node_id in sorted(n for n in set(nodes) if n >= 0):
         try:
             network.send(COORDINATOR_ID, node_id, Shutdown())
         except KeyError:
             pass  # already detached/dead
-
-
-def run_tcp_repair(
-    cluster: StorageCluster,
-    codec: ErasureCodec,
-    plan: RepairPlan,
-    peers: PeerMap,
-    workdir: Path,
-    seed: Optional[int] = None,
-    config: Optional[RuntimeConfig] = None,
-    packet_size: Optional[int] = None,
-    journal_path: Optional[Path] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-    resume: bool = False,
-    agent_timeout: float = 60.0,
-    faults: Optional[FaultPlan] = None,
-) -> Tuple[RuntimeResult, int]:
-    """Drive one multi-process repair from the coordinator's side.
-
-    The agent processes must (come up to) listen at the addresses in
-    ``peers``; connection backoff absorbs startup races, and an
-    explicit ping sweep gates command issue on every agent being
-    reachable.  After the run the repaired chunks are verified
-    byte-identical through the shared ``workdir`` and every agent is
-    told to shut down.
-
-    With ``resume=True`` the journal at ``journal_path`` is replayed
-    instead of starting fresh: the successor coordinator (epoch + 1)
-    reconciles agent inventories over TCP and re-issues only the
-    unfinished actions — the kill-one-coordinator walkthrough.
-
-    Returns ``(result, chunks_verified)``.
-    """
-    cfg = config or DEFAULT_CONFIG
-    listen = peers.get(COORDINATOR_ID)
-    # Coordinator-side injector covers control traffic and time-based
-    # triggers; each agent process runs the same plan for data packets.
-    # It attaches to the network only once every agent has answered a
-    # ping, so fault time zero is the start of the repair, not of the
-    # probe sweep.
-    injector = FaultInjector(faults) if faults is not None else None
-    network = build_coordinator_network(
-        peers, cfg, metrics=metrics, listen=listen
-    )
-    return _drive_repair(
-        network,
-        cluster,
-        codec,
-        plan,
-        peers,
-        workdir,
-        seed=seed,
-        cfg=cfg,
-        packet_size=packet_size,
-        journal_path=journal_path,
-        metrics=metrics,
-        tracer=tracer,
-        resume=resume,
-        agent_timeout=agent_timeout,
-        injector=injector,
-    )
-
-
-def run_shm_repair(
-    cluster: StorageCluster,
-    codec: ErasureCodec,
-    plan: RepairPlan,
-    workdir: Path,
-    seed: Optional[int] = None,
-    config: Optional[RuntimeConfig] = None,
-    packet_size: Optional[int] = None,
-    journal_path: Optional[Path] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-    resume: bool = False,
-    agent_timeout: float = 60.0,
-    faults: Optional[FaultPlan] = None,
-) -> Tuple[RuntimeResult, int]:
-    """Shared-memory twin of :func:`run_tcp_repair`.
-
-    Same driver contract — the agents are
-    :func:`run_shm_agent_process` processes on this host, and every
-    frame crosses a ``multiprocessing.shared_memory`` ring instead of a
-    socket.  No peer spec: the topology derives from the shared
-    ``workdir`` (see :func:`shm_ring_name`).
-    """
-    cfg = config or DEFAULT_CONFIG
-    injector = FaultInjector(faults) if faults is not None else None
-    network = ShmNetwork(
-        faults=None,
-        metrics=metrics,
-        inbox_capacity=cfg.inbox_capacity,
-        connect_timeout=cfg.connect_timeout,
-    )
-    network.listen(shm_ring_name(workdir, COORDINATOR_ID))
-    for node_id in cluster.nodes:
-        network.add_peer(node_id, shm_ring_name(workdir, node_id))
-    return _drive_repair(
-        network,
-        cluster,
-        codec,
-        plan,
-        {node_id: None for node_id in cluster.nodes},
-        workdir,
-        seed=seed,
-        cfg=cfg,
-        packet_size=packet_size,
-        journal_path=journal_path,
-        metrics=metrics,
-        tracer=tracer,
-        resume=resume,
-        agent_timeout=agent_timeout,
-        injector=injector,
-    )
-
-
-def _drive_repair(
-    network,
-    cluster: StorageCluster,
-    codec: ErasureCodec,
-    plan: RepairPlan,
-    peers,
-    workdir: Path,
-    seed: Optional[int],
-    cfg: RuntimeConfig,
-    packet_size: Optional[int],
-    journal_path: Optional[Path],
-    metrics: Optional[MetricsRegistry],
-    tracer: Optional[Tracer],
-    resume: bool,
-    agent_timeout: float,
-    injector: Optional[FaultInjector],
-) -> Tuple[RuntimeResult, int]:
-    """Transport-agnostic single-coordinator repair driver body.
-
-    ``network`` must already listen and know every agent as a peer;
-    ``peers`` is only consulted for the shutdown broadcast's node ids.
-    """
-    packet = packet_size or max(cluster.chunk_size // 16, 4096)
-    journal = None
-    if journal_path is not None and not resume:
-        journal = RepairJournal(
-            journal_path, fsync=cfg.journal_fsync, metrics=metrics
-        )
-    try:
-        if resume:
-            if journal_path is None:
-                raise ValueError("resume needs a journal path")
-            coordinator = Coordinator.recover(
-                journal_path,
-                network,
-                cluster,
-                codec,
-                config=cfg,
-                packet_size=packet,
-                metrics=metrics,
-                tracer=tracer,
-            )
-        else:
-            coordinator = Coordinator(
-                network,
-                cluster,
-                codec,
-                packet,
-                config=cfg,
-                journal=journal,
-                metrics=metrics,
-                tracer=tracer,
-            )
-        involved = sorted(
-            {a.destination for a in plan.actions()}
-            | {s for a in plan.actions() for s in a.sources}
-        )
-        wait_for_agents(coordinator, involved, timeout=agent_timeout)
-        if injector is not None:
-            network.faults = injector
-            injector.start()
-        try:
-            if resume:
-                result = coordinator.resume()
-            else:
-                result = coordinator.execute(plan)
-        finally:
-            coordinator.close()
-        checksums = stripe_checksums(cluster, codec, seed)
-        verified = verify_actions(
-            result.executed_actions or plan.actions(), checksums, workdir
-        )
-        return result, verified
-    finally:
-        shutdown_agents(network, peers)
-        network.close()
-
-
-def run_tcp_multicoord_repair(
-    cluster: StorageCluster,
-    codec: ErasureCodec,
-    plan: RepairPlan,
-    peers: PeerMap,
-    workdir: Path,
-    num_coordinators: int = 2,
-    seed: Optional[int] = None,
-    config: Optional[RuntimeConfig] = None,
-    packet_size: Optional[int] = None,
-    journal_dir: Optional[Path] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-    agent_timeout: float = 60.0,
-    faults: Optional[FaultPlan] = None,
-    topology: Optional[RackTopology] = None,
-) -> Tuple[MultiRepairResult, int]:
-    """Drive a sharded repair over TCP from one driver process.
-
-    Every shard coordinator lives in this process on one shared
-    :class:`~repro.net.tcp.TcpNetwork`; agents reach shard ``k``
-    through the ``coordinator<k>`` alias in their peer map (same
-    address as the driver, distinct endpoint id — see
-    :func:`sharded_peer_spec`).  Each shard keeps its own journal
-    under ``journal_dir`` (default ``workdir/shards``) and a crashed
-    shard hands off to a survivor exactly as in-memory: recover at the
-    same endpoint with a bumped epoch, replay the journal, resume only
-    the unfinished actions.
-
-    ``faults`` may carry :class:`~repro.runtime.faults.DomainCrashFault`
-    entries when ``topology`` is given; a domain crash that names
-    coordinators kills those shards mid-run through the injector.
-
-    Returns ``(result, chunks_verified)``.
-    """
-    cfg = config or DEFAULT_CONFIG
-    packet = packet_size or max(cluster.chunk_size // 16, 4096)
-    listen = peers.get(COORDINATOR_ID)
-    if faults is not None and faults.domain_crashes:
-        if topology is None:
-            raise ValueError(
-                "fault plan has domain crashes but no topology was given"
-            )
-        faults = faults.resolve_domains(topology)
-    multi_box: list = []
-
-    def _kill_shard(shard: int) -> None:
-        if multi_box:
-            multi_box[0].kill_shard(shard)
-
-    # As in run_tcp_repair, the injector attaches only after the probe
-    # sweep so fault time zero is the start of the sharded repair.
-    injector = (
-        FaultInjector(faults, on_kill_coordinator=_kill_shard)
-        if faults is not None
-        else None
-    )
-    network = build_coordinator_network(
-        peers, cfg, metrics=metrics, listen=listen
-    )
-    try:
-        involved = sorted(
-            {a.destination for a in plan.actions()}
-            | {s for a in plan.actions() for s in a.sources}
-        )
-        # Probe through a throwaway coordinator at the default endpoint,
-        # then free it so shard 0 can claim the same id.
-        probe = Coordinator(network, cluster, codec, packet, config=cfg)
-        try:
-            wait_for_agents(probe, involved, timeout=agent_timeout)
-        finally:
-            probe.close()
-            try:
-                network.detach(COORDINATOR_ID)
-            except KeyError:
-                pass
-        multi = MultiCoordinator(
-            network,
-            cluster,
-            codec,
-            packet,
-            journal_dir=journal_dir or Path(workdir) / "shards",
-            num_shards=num_coordinators,
-            config=cfg,
-            metrics=metrics,
-            tracer=tracer,
-        )
-        multi_box.append(multi)
-        if injector is not None:
-            network.faults = injector
-            injector.start()
-        try:
-            result = multi.execute(plan, packet_size=packet)
-        finally:
-            multi.close()
-        checksums = stripe_checksums(cluster, codec, seed)
-        verified = verify_actions(
-            result.executed_actions or plan.actions(), checksums, workdir
-        )
-        return result, verified
-    finally:
-        shutdown_agents(network, peers)
-        network.close()

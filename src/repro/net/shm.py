@@ -112,6 +112,29 @@ def _untrack(name: str) -> None:
         pass
 
 
+def _attach_published(name: str):
+    """Attach a ring segment whose creator has published its header.
+
+    The creator's segment is visible by name before it is sized and
+    before its header carries the capacity.  An attach inside that
+    window would cache a zero capacity for good, so an empty segment
+    or a zero capacity raises :class:`FileNotFoundError`, like a ring
+    that does not exist yet, and the caller retries.
+    """
+    try:
+        shm = shared_memory.SharedMemory(name=name)
+    except ValueError:  # mmap of a segment not yet sized
+        raise FileNotFoundError(f"ring {name} is not published yet") from None
+    _untrack(name)
+    if (
+        shm.size < _RING_HEADER.size
+        or _RING_HEADER.unpack_from(shm.buf, 0)[2] == 0
+    ):
+        shm.close()
+        raise FileNotFoundError(f"ring {name} is not published yet")
+    return shm
+
+
 class ShmRing:
     """One MPSC frame ring in a named shared-memory segment.
 
@@ -135,9 +158,8 @@ class ShmRing:
             _RING_HEADER.pack_into(self.shm.buf, 0, 0, 0, capacity)
             self.capacity = capacity
         else:
-            self.shm = shared_memory.SharedMemory(name=name)
-            _untrack(name)
-            _, _, self.capacity = _RING_HEADER.unpack_from(self.shm.buf, 0)
+            self.shm = _attach_published(name)
+            self.capacity = _RING_HEADER.unpack_from(self.shm.buf, 0)[2]
         self._lockpath = os.path.join(
             tempfile.gettempdir(), f"fpr-shm-{name.lstrip('/')}.lock"
         )
@@ -501,7 +523,11 @@ class ShmNetwork:
             self.net.frames_dropped.inc(node=peer.node_id)
 
     def _peer_ring(self, peer: _ShmPeer) -> Optional[ShmRing]:
-        """Attach a peer's ring lazily, with backoff (like a TCP dial)."""
+        """Attach a peer's ring lazily, with backoff (like a TCP dial).
+
+        A ring that is missing or not yet published (see
+        :func:`_attach_published`) is retried until ``connect_timeout``.
+        """
         ring = peer.ring
         if ring is not None:
             return ring

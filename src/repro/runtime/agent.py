@@ -108,6 +108,9 @@ def _generation(message) -> Generation:
 #: cap on buffered packets awaiting a late Receive/Relay registration
 MAX_PENDING_PACKETS = 4096
 
+#: packets a chunk stream's disk reader may run ahead of its sender
+PIPELINE_DEPTH = 2
+
 #: sentinel that aborts a blocked assembly/relay worker
 _ABORT = object()
 
@@ -269,8 +272,6 @@ class _Assembly:
             if writer.is_alive():
                 self._writes.put(None)
                 writer.join()
-            if self._remaining_offsets > 0:
-                self.store.discard_staged(self.command.stripe_id)
 
     def _finish_writer(self, writer: threading.Thread) -> bool:
         self._writes.put(None)
@@ -446,9 +447,6 @@ class Agent:
             target and the reply address for messages that carry no
             ``reply_to``.  Replies to commands go to the command's own
             ``reply_to`` endpoint.
-        pipeline_depth: bounded queue between the packet reader and the
-            packet sender; 0 disables pipelining (read the whole chunk,
-            then send).
         ack_timeout: seconds a sender waits for a destination's
             :class:`WriteComplete` before NACKing the coordinator
             (defaults to ``config.ack_timeout``).
@@ -465,7 +463,6 @@ class Agent:
         store: ChunkStore,
         network: Network,
         coordinator_id: NodeId,
-        pipeline_depth: int = 2,
         ack_timeout: Optional[float] = None,
         config: Optional[RuntimeConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -475,7 +472,6 @@ class Agent:
         self.store = store
         self.network = network
         self.coordinator_id = coordinator_id
-        self.pipeline_depth = pipeline_depth
         self.config = config or DEFAULT_CONFIG
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
@@ -930,32 +926,35 @@ class Agent:
                     self._relays.pop(relay.command.key, None)
 
     def _run_assembly(self, assembly: _Assembly) -> None:
-        decoded = assembly.run()
         key = assembly.command.key
         attempt = assembly.command.attempt
         epoch = assembly.command.epoch
-        promoted = False
-        with self._assembly_lock:
-            current = self._assemblies.get(key) is assembly
-            if current:
-                del self._assemblies[key]
-            fenced = epoch < self._epoch_for(assembly.command.reply_to)
-            if decoded and current and not fenced:
-                # Publish under the lock: an epoch bump (fencing) and
-                # a promotion cannot interleave, so a successor
-                # coordinator's inventory snapshot is exact.
-                promo = self.tracer.start_span(
-                    "promotion", parent=assembly.span, node=self.node_id
-                )
-                self.store.promote(assembly.command.stripe_id)
-                promo.finish()
-                self._completed[key] = (epoch, attempt)
-                self._pending.pop(key, None)
-                promoted = True
-            elif decoded:
-                # Fully decoded, but fenced or superseded meanwhile: a
-                # fenced epoch must not publish anything.
-                self.store.discard_staged(assembly.command.stripe_id)
+        decoded = promoted = False
+        try:
+            decoded = assembly.run()
+        finally:
+            with self._assembly_lock:
+                current = self._assemblies.get(key) is assembly
+                if current:
+                    del self._assemblies[key]
+                fenced = epoch < self._epoch_for(assembly.command.reply_to)
+                if decoded and current and not fenced:
+                    # Publish under the lock: an epoch bump (fencing)
+                    # and a promotion cannot interleave, so a successor
+                    # coordinator's inventory snapshot is exact.
+                    promo = self.tracer.start_span(
+                        "promotion", parent=assembly.span, node=self.node_id
+                    )
+                    self.store.promote(assembly.command.stripe_id)
+                    promo.finish()
+                    self._completed[key] = (epoch, attempt)
+                    self._pending.pop(key, None)
+                    promoted = True
+                elif key not in self._assemblies:
+                    # Aborted, failed, fenced or superseded: drop the
+                    # staged writes — unless a retry's assembly already
+                    # writes to the same staging file, which it owns.
+                    self.store.discard_staged(assembly.command.stripe_id)
         if not promoted:
             if assembly.span is not None:
                 assembly.span.finish(promoted=False)
@@ -1204,47 +1203,39 @@ class Agent:
         size = self.store.size(command.stripe_id)
         packet_size = min(command.packet_size, size)
         offsets = list(range(0, size, packet_size))
-        if self.pipeline_depth > 0 and len(offsets) > 1:
-            buffer: "queue.Queue" = queue.Queue(maxsize=self.pipeline_depth)
-
-            def reader():
-                for offset in offsets:
-                    length = min(packet_size, size - offset)
-                    buffer.put(
-                        (
-                            offset,
-                            self.store.read_packet(
-                                command.stripe_id, offset, length
-                            ),
-                        )
-                    )
-
-            reader_thread = threading.Thread(
-                target=self._guard(reader),
-                name=f"agent-{self.node_id}-read",
-                daemon=True,
-            )
-            reader_thread.start()
-            for _ in offsets:
-                offset, payload = buffer.get()
-                self._send_packet(command, offset, payload)
-            reader_thread.join()
-        else:
-            # No pipelining: read everything, then send (64 MB packets
-            # in Experiment B.1).
-            packets = [
-                (
+        if len(offsets) < 2:
+            # One packet: nothing to overlap.
+            for offset in offsets:
+                self._send_packet(
+                    command,
                     offset,
-                    self.store.read_packet(
-                        command.stripe_id,
-                        offset,
-                        min(packet_size, size - offset),
-                    ),
+                    self.store.read_packet(command.stripe_id, offset, size),
                 )
-                for offset in offsets
-            ]
-            for offset, payload in packets:
-                self._send_packet(command, offset, payload)
+            return
+        buffer: "queue.Queue" = queue.Queue(maxsize=PIPELINE_DEPTH)
+
+        def reader():
+            for offset in offsets:
+                length = min(packet_size, size - offset)
+                buffer.put(
+                    (
+                        offset,
+                        self.store.read_packet(
+                            command.stripe_id, offset, length
+                        ),
+                    )
+                )
+
+        reader_thread = threading.Thread(
+            target=self._guard(reader),
+            name=f"agent-{self.node_id}-read",
+            daemon=True,
+        )
+        reader_thread.start()
+        for _ in offsets:
+            offset, payload = buffer.get()
+            self._send_packet(command, offset, payload)
+        reader_thread.join()
 
     def _send_packet(
         self, command: SendCommand, offset: int, payload: bytes

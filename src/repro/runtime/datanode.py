@@ -9,10 +9,12 @@ for the HDFS DataNode block storage of the paper's testbed.
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..cluster.chunk import NodeId, StripeId
+from ..cluster.cluster import StorageCluster
 from .throttle import RateLimiter
 
 
@@ -166,3 +168,22 @@ class ChunkStore:
         for path in self.root.glob("stripe_*.chunk"):
             found.add(int(path.stem.split("_", 1)[1]))
         return sorted(found)
+
+
+def node_store(
+    cluster: StorageCluster,
+    workdir: Path,
+    node_id: NodeId,
+    stop: Optional[threading.Event] = None,
+    metrics=None,
+) -> ChunkStore:
+    """``node_id``'s store at ``workdir/node_<id>``, behind its emulated disk."""
+    node = cluster.node(node_id)
+    disk = RateLimiter(
+        node.disk_bandwidth or cluster.disk_bandwidth,
+        name=f"disk[{node_id}]",
+        stop=stop,
+        metrics=metrics,
+        labels={"device": "disk", "node": node_id},
+    )
+    return ChunkStore(Path(workdir) / f"node_{node_id}", node_id, disk)

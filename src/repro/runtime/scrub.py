@@ -63,7 +63,7 @@ class Scrubber:
         cluster = self.testbed.cluster
         for stripe in cluster.stripes():
             for index, node_id in enumerate(stripe.placement):
-                expected = self.testbed._checksums.get(
+                expected = self.testbed.checksums.get(
                     (stripe.stripe_id, index)
                 )
                 if expected is None:

@@ -18,108 +18,43 @@ repaired or provably unrepairable.
 
 from __future__ import annotations
 
-import hashlib
-import random
 import shutil
 import tempfile
 import threading
-from contextlib import nullcontext
 from pathlib import Path
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from ..cluster.chunk import NodeId
 from ..cluster.cluster import StorageCluster
 from ..cluster.topology import RackTopology
-from ..core.plan import RepairPlan
-from ..core.scheduling import HelperBudget
 from ..ec.codec import ErasureCodec
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from .agent import Agent, AgentError
 from .config import RuntimeConfig
-from .coordinator import COORDINATOR_ID, Coordinator, RuntimeResult
-from .datanode import ChunkStore
-from .faults import CoordinatorCrashFault, FaultInjector, FaultPlan
-from .journal import RepairJournal
-from .multicoord import MultiCoordinator, MultiRepairResult
-from .throttle import RateLimiter
+from .coordinator import COORDINATOR_ID
+from .datanode import ChunkStore, node_store
+from .driver import (  # noqa: F401 - re-exported verification API
+    ChunkMismatch,
+    RepairDriver,
+    VerificationError,
+    chunk_digest,
+    iter_encoded_stripes,
+    mismatch_error,
+)
+from .faults import FaultInjector, FaultPlan
 from .transport import Network
 
 
-@dataclass(frozen=True)
-class ChunkMismatch:
-    """One chunk that failed post-repair verification."""
-
-    stripe_id: int
-    chunk_index: int
-    node_id: NodeId
-    #: ``"missing"`` (destination has no chunk) or ``"mismatch"``
-    #: (bytes differ from the load-time original)
-    reason: str
-
-
-class VerificationError(AssertionError):
-    """Raised when repaired chunks' bytes do not match the originals.
-
-    Carries *every* failing chunk in :attr:`mismatches` (not just the
-    first), so callers — notably ``fastpr repair`` — can log the full
-    set of mismatching chunk ids and exit non-zero.
-    """
-
-    def __init__(self, message: str, mismatches: Sequence[ChunkMismatch] = ()):
-        super().__init__(message)
-        self.mismatches: List[ChunkMismatch] = list(mismatches)
-
-
-def mismatch_error(mismatches: Sequence[ChunkMismatch]) -> VerificationError:
-    """Build a :class:`VerificationError` naming every failing chunk."""
-    ids = "; ".join(
-        f"stripe {m.stripe_id} chunk {m.chunk_index} at node {m.node_id} "
-        f"({m.reason})"
-        for m in mismatches
-    )
-    return VerificationError(
-        f"{len(mismatches)} chunk(s) failed post-repair verification: {ids}",
-        mismatches,
-    )
-
-
-def iter_encoded_stripes(
-    cluster: StorageCluster, codec: ErasureCodec, seed: Optional[int] = None
-):
-    """Yield ``(stripe, coded_chunks)`` for every stripe, deterministically.
-
-    One sequential RNG stream (seeded by ``seed``) generates the data
-    chunks of every stripe in stripe order, so *any* consumer of the
-    same ``(cluster, codec, seed)`` triple sees byte-identical chunks —
-    the testbed loads them all into local stores, while each TCP agent
-    process walks the same stream and keeps only its own node's chunks
-    (see :func:`repro.net.launch.load_node_data`).
-    """
-    rng = random.Random(seed)
-    chunk_size = cluster.chunk_size
-    stripes = list(cluster.stripes())
-    # Encode in windows through ``encode_batch`` (one wide GF matmul per
-    # window).  The RNG stream is untouched: data chunks are still drawn
-    # sequentially in stripe order, so the bytes are identical to the
-    # one-stripe-at-a-time path.
-    window = 16
-    for start in range(0, len(stripes), window):
-        batch = stripes[start : start + window]
-        data = [
-            [
-                rng.getrandbits(8 * chunk_size).to_bytes(chunk_size, "little")
-                for _ in range(stripe.k)
-            ]
-            for stripe in batch
-        ]
-        for stripe, coded in zip(batch, codec.encode_batch(data)):
-            yield stripe, coded
-
-
-class EmulatedTestbed:
+class EmulatedTestbed(RepairDriver):
     """A local cluster of agents with bandwidth emulation.
+
+    The testbed is the :class:`~repro.runtime.driver.RepairDriver` of
+    an in-process cluster: it adds the agents, their stores and the
+    data load, and inherits everything on the coordinator's side —
+    :meth:`execute`, :meth:`execute_sharded`, coordinator crashes and
+    :meth:`restart_coordinator` / :meth:`resume`, and
+    :meth:`verify_plan`.
 
     Args:
         cluster: metadata (placements, bandwidths, chunk size).  The
@@ -130,34 +65,23 @@ class EmulatedTestbed:
         packet_size: transfer granularity (the paper's Experiment B.1
             knob); defaults to chunk_size / 16.
         workdir: directory for chunk files; a temp dir by default.
-        pipeline_depth: reader->sender queue depth inside agents; 0
-            disables multi-threaded pipelining.
-        config: runtime timeouts/retry policy (defaults are
-            production-like; tests pass tighter ones).
-        faults: declarative fault plan injected into the network.
-            Coordinator-crash faults implicitly enable journaling.
-        journal_path: write-ahead journal file for crash-recoverable
-            repairs; defaults to ``workdir/"repair.journal"`` whenever
-            the fault plan contains coordinator crashes, else no
-            journaling.
+        config / faults / journal_path / topology: as for
+            :class:`~repro.runtime.driver.RepairDriver`; ``config``
+            defaults are production-like (tests pass tighter ones).
         metrics: shared :class:`~repro.obs.MetricsRegistry` for the
             whole run (coordinator, agents, transport, journal); a
-            fresh registry is created when omitted and is always
-            available as :attr:`metrics`.
+            fresh registry is created when omitted.
         tracer: shared :class:`~repro.obs.Tracer`; a fresh enabled
             wall-clock tracer is created when omitted (span volume is
-            bounded by the run's action count) and is available as
-            :attr:`tracer`.
+            bounded by the run's action count).
         network: alternative transport backend (e.g. a loopback-wired
             :class:`repro.net.TcpNetwork`); the testbed attaches every
             node to it and, when a fault plan is given, installs its
             injector on it.  Defaults to a fresh in-memory
             :class:`~repro.runtime.transport.Network`.
-        topology: optional rack/machine failure domains.  A fault
-            plan's ``domain_crashes`` are resolved against it (one
-            injection then crashes a whole rack of agents, plus any
-            co-located shard coordinator when :meth:`execute_sharded`
-            is driving the run).
+        arbiter: optional :class:`repro.gateway.TrafficArbiter`,
+            installed on the network so repair traffic cannot starve
+            client GETs.
     """
 
     def __init__(
@@ -166,7 +90,6 @@ class EmulatedTestbed:
         codec: ErasureCodec,
         packet_size: Optional[int] = None,
         workdir: Optional[Path] = None,
-        pipeline_depth: int = 2,
         config: Optional[RuntimeConfig] = None,
         faults: Optional[FaultPlan] = None,
         journal_path: Optional[Path] = None,
@@ -176,42 +99,16 @@ class EmulatedTestbed:
         topology: Optional[RackTopology] = None,
         arbiter=None,
     ):
-        self.cluster = cluster
-        self.codec = codec
-        self.packet_size = packet_size or max(cluster.chunk_size // 16, 4096)
         self._own_workdir = workdir is None
-        self.workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="fastpr-"))
-        self.config = config or RuntimeConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
+        workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="fastpr-"))
+        config = config or RuntimeConfig()
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        tracer = tracer if tracer is not None else Tracer()
         self.topology = topology
-        self.faults: Optional[FaultInjector] = None
-        self._crash_faults: List[CoordinatorCrashFault] = []
-        if faults is not None:
-            if topology is not None:
-                faults = faults.resolve_domains(topology)
-            elif faults.domain_crashes:
-                raise ValueError(
-                    "fault plan has domain_crashes but the testbed was "
-                    "given no topology to resolve them against"
-                )
-            self.faults = FaultInjector(
-                faults,
-                on_crash=self._on_node_crash,
-                on_kill_coordinator=self._on_kill_coordinator,
-            )
-            self._crash_faults = list(faults.coordinator_crashes)
         if network is None:
             network = Network(
-                faults=self.faults,
-                metrics=self.metrics,
-                inbox_capacity=self.config.inbox_capacity,
+                metrics=metrics, inbox_capacity=config.inbox_capacity
             )
-        elif self.faults is not None:
-            network.faults = self.faults
-        self.network = network
-        #: optional :class:`repro.gateway.TrafficArbiter` — installed
-        #: on the network so repair traffic cannot starve client GETs
         self.arbiter = arbiter
         if arbiter is not None:
             network.arbiter = arbiter
@@ -219,69 +116,41 @@ class EmulatedTestbed:
         self._stop = threading.Event()
         self.stores: Dict[NodeId, ChunkStore] = {}
         self.agents: Dict[NodeId, Agent] = {}
-        self._checksums: Dict[Tuple[int, int], str] = {}
-        self.pipeline_depth = pipeline_depth
-        self._build_nodes()
-        self.journal_path: Optional[Path] = (
-            Path(journal_path) if journal_path else None
-        )
-        if self.journal_path is None and self._crash_faults:
-            self.journal_path = self.workdir / "repair.journal"
-        journal = (
-            RepairJournal(
-                self.journal_path,
-                fsync=self.config.journal_fsync,
-                metrics=self.metrics,
-            )
-            if self.journal_path is not None
-            else None
-        )
-        self.coordinator = Coordinator(
-            self.network,
-            cluster,
-            codec,
-            self.packet_size,
-            config=self.config,
-            journal=journal,
-            metrics=self.metrics,
-            tracer=self.tracer,
-        )
-        self._arm_next_coordinator_crash()
-        self.multi: Optional[MultiCoordinator] = None
-        self._started = False
-
-    def _build_nodes(self) -> None:
-        for node_id, node in sorted(self.cluster.nodes.items()):
-            self.network.attach(
+        for node_id, node in sorted(cluster.nodes.items()):
+            network.attach(
                 node_id,
-                node.network_bandwidth or self.cluster.network_bandwidth,
+                node.network_bandwidth or cluster.network_bandwidth,
                 stop=self._stop,
             )
-            disk = RateLimiter(
-                node.disk_bandwidth or self.cluster.disk_bandwidth,
-                name=f"disk[{node_id}]",
-                stop=self._stop,
-                metrics=self.metrics,
-                labels={"device": "disk", "node": node_id},
+            store = node_store(
+                cluster, workdir, node_id, stop=self._stop, metrics=metrics
             )
-            store = ChunkStore(self.workdir / f"node_{node_id}", node_id, disk)
             self.stores[node_id] = store
             self.agents[node_id] = Agent(
                 node_id,
                 store,
-                self.network,
+                network,
                 coordinator_id=COORDINATOR_ID,
-                pipeline_depth=0,  # reset below via set_pipeline_depth
-                config=self.config,
-                metrics=self.metrics,
-                tracer=self.tracer,
+                config=config,
+                metrics=metrics,
+                tracer=tracer,
             )
-        self.set_pipeline_depth(self.pipeline_depth)
-
-    def set_pipeline_depth(self, depth: int) -> None:
-        """Configure multi-threaded packet pipelining on every agent."""
-        for agent in self.agents.values():
-            agent.pipeline_depth = depth
+        super().__init__(
+            network,
+            cluster,
+            codec,
+            workdir,
+            packet_size=packet_size,
+            config=config,
+            faults=faults,
+            topology=topology,
+            journal_path=journal_path,
+            metrics=metrics,
+            tracer=tracer,
+        )
+        if self.faults is not None:
+            network.faults = self.faults
+        self._started = False
 
     # ------------------------------------------------------------------
 
@@ -305,9 +174,7 @@ class EmulatedTestbed:
         self._stop.set()  # interrupt every throttled sleep in flight
         for agent in self.agents.values():
             agent.stop()
-        self.coordinator.close()
-        if self.multi is not None:
-            self.multi.close()
+        self.close()
         self._started = False
         errors = {
             node_id: agent.errors
@@ -343,86 +210,6 @@ class EmulatedTestbed:
             self.network.faults = self.faults
         self.faults.kill(node_id)
 
-    def _on_node_crash(self, node_id: NodeId) -> None:
-        agent = self.agents.get(node_id)
-        if agent is not None:
-            agent.crash()
-
-    def _on_kill_coordinator(self, shard: int) -> None:
-        if self.multi is not None:
-            self.multi.kill_shard(shard)
-
-    # -- coordinator crash / recovery hooks ----------------------------
-
-    def _ensure_journal(self) -> RepairJournal:
-        """Enable journaling lazily (kill hooks may arm it post-build)."""
-        if self.coordinator.journal is None:
-            if self.journal_path is None:
-                self.journal_path = self.workdir / "repair.journal"
-            self.coordinator.journal = RepairJournal(
-                self.journal_path,
-                fsync=self.config.journal_fsync,
-                metrics=self.metrics,
-            )
-        return self.coordinator.journal
-
-    def _arm_next_coordinator_crash(self) -> None:
-        if not self._crash_faults:
-            return
-        fault = self._crash_faults.pop(0)
-        if fault.after_records is not None:
-            self._ensure_journal().crash_after_records = fault.after_records
-        else:
-            self._ensure_journal()
-            self.coordinator.crash_after_round = fault.after_round
-
-    def kill_coordinator_after(self, records: int) -> None:
-        """Arm a deterministic coordinator death.
-
-        The coordinator raises
-        :class:`~repro.runtime.journal.CoordinatorCrash` out of
-        :meth:`execute` (or :meth:`resume`) immediately after this
-        incarnation's ``records``-th journal record is durably written
-        — the exact window a real process death leaves behind: state
-        journaled, action not yet taken.
-        """
-        self._ensure_journal().crash_after_records = records
-
-    def restart_coordinator(self) -> Coordinator:
-        """Replace a crashed coordinator with a recovering successor.
-
-        Detaches the dead incarnation's endpoint, replays the journal
-        via :meth:`Coordinator.recover`, and installs the successor
-        (one epoch up).  Call :meth:`resume` to finish the repair.
-        """
-        if self.journal_path is None:
-            raise RuntimeError("no journal: coordinator cannot be recovered")
-        self.coordinator.close()
-        try:
-            self.network.detach(COORDINATOR_ID)
-        except KeyError:
-            pass
-        self.coordinator = Coordinator.recover(
-            self.journal_path,
-            self.network,
-            self.cluster,
-            self.codec,
-            config=self.config,
-            packet_size=self.packet_size,
-            metrics=self.metrics,
-            tracer=self.tracer,
-        )
-        self._arm_next_coordinator_crash()
-        return self.coordinator
-
-    def resume(self) -> RuntimeResult:
-        """Finish a recovered repair (see :meth:`Coordinator.resume`)."""
-        if not self._started:
-            raise RuntimeError("call start() (or use as a context manager) first")
-        result = self.coordinator.resume()
-        self._raise_agent_errors()
-        return result
-
     def load_random_data(self, seed: Optional[int] = None) -> None:
         """Encode and store every stripe's chunks (unthrottled bulk load).
 
@@ -434,130 +221,22 @@ class EmulatedTestbed:
         ):
             for index, node_id in enumerate(stripe.placement):
                 self.stores[node_id].put(stripe.stripe_id, coded[index])
-                self._checksums[(stripe.stripe_id, index)] = _digest(coded[index])
+                self.checksums[(stripe.stripe_id, index)] = chunk_digest(
+                    coded[index]
+                )
 
-    def execute(
-        self, plan: RepairPlan, packet_size: Optional[int] = None
-    ) -> RuntimeResult:
-        """Run a repair plan; agents must be started."""
+    # -- RepairDriver hooks ----------------------------------------------
+
+    def _on_node_crash(self, node_id: NodeId) -> None:
+        agent = self.agents.get(node_id)
+        if agent is not None:
+            agent.crash()
+
+    def _before_run(self) -> None:
         if not self._started:
             raise RuntimeError("call start() (or use as a context manager) first")
-        if self.faults is not None:
-            self.faults.start()
-        with self._repair_flow():
-            result = self.coordinator.execute(plan, packet_size=packet_size)
-        self._raise_agent_errors()
-        return result
 
-    def _repair_flow(self):
-        """Registered arbiter flow spanning one repair execution."""
-        if self.arbiter is None:
-            return nullcontext()
-        return self.arbiter.register("repair")
-
-    def execute_sharded(
-        self,
-        plan: RepairPlan,
-        num_coordinators: int = 2,
-        packet_size: Optional[int] = None,
-        budget: Optional[HelperBudget] = None,
-    ) -> MultiRepairResult:
-        """Run a plan under ``num_coordinators`` shard coordinators.
-
-        The default single coordinator's endpoint is handed over to
-        shard 0 (same id ``-1``, so agent heartbeats stay addressed);
-        each shard journals to ``workdir/shards/shard-<k>.journal`` and
-        a crashed shard is adopted by a survivor (see
-        :class:`~repro.runtime.multicoord.MultiCoordinator`).  Domain
-        crash faults that list co-located ``coordinators`` kill the
-        matching shard's coordinator mid-run.
-        """
-        if not self._started:
-            raise RuntimeError("call start() (or use as a context manager) first")
-        if self.multi is None:
-            # Shard 0 inherits endpoint -1: retire the single
-            # coordinator first so the id is free to re-attach.
-            self.coordinator.close()
-            try:
-                self.network.detach(COORDINATOR_ID)
-            except KeyError:
-                pass
-            self.multi = MultiCoordinator(
-                self.network,
-                self.cluster,
-                self.codec,
-                self.packet_size,
-                journal_dir=self.workdir / "shards",
-                num_shards=num_coordinators,
-                config=self.config,
-                budget=budget,
-                metrics=self.metrics,
-                tracer=self.tracer,
-            )
-        elif self.multi.shard_map.num_shards != num_coordinators:
-            raise RuntimeError(
-                "testbed already built a MultiCoordinator with "
-                f"{self.multi.shard_map.num_shards} shards"
-            )
-        if self.faults is not None:
-            self.faults.start()
-        with self._repair_flow():
-            result = self.multi.execute(plan, packet_size=packet_size)
-        self._raise_agent_errors()
-        return result
-
-    def verify_plan(
-        self, plan: RepairPlan, result: Optional[RuntimeResult] = None
-    ) -> None:
-        """Check every repaired chunk's bytes at its destination.
-
-        Args:
-            plan: the plan as built.
-            result: the runtime result of executing it; pass it when
-                faults may have replanned actions so verification
-                checks the *effective* destinations.
-
-        Raises:
-            VerificationError: on any mismatch or missing chunk; every
-                failing chunk is collected into the error's
-                ``mismatches`` (the scan does not stop at the first).
-        """
-        if result is not None and result.executed_actions:
-            actions = result.executed_actions
-        else:
-            actions = list(plan.actions())
-        mismatches: List[ChunkMismatch] = []
-        for action in actions:
-            store = self.stores[action.destination]
-            if not store.has(action.stripe_id):
-                mismatches.append(
-                    ChunkMismatch(
-                        action.stripe_id,
-                        action.chunk_index,
-                        action.destination,
-                        "missing",
-                    )
-                )
-                continue
-            actual = _digest(store.read(action.stripe_id))
-            expected = self._checksums[(action.stripe_id, action.chunk_index)]
-            if actual != expected:
-                mismatches.append(
-                    ChunkMismatch(
-                        action.stripe_id,
-                        action.chunk_index,
-                        action.destination,
-                        "mismatch",
-                    )
-                )
-        if mismatches:
-            raise mismatch_error(mismatches)
-
-    def _raise_agent_errors(self) -> None:
+    def _after_run(self) -> None:
         for agent in self.agents.values():
             if agent.errors and not agent.crashed:
                 raise agent.errors[0]
-
-
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()

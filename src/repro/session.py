@@ -1,11 +1,8 @@
 """One front door for executing a repair plan: :class:`RepairSession`.
 
-Historically every execution flavor had its own entry point —
-``EmulatedTestbed`` for in-process runs, ``run_tcp_repair`` /
-``run_shm_repair`` for process-per-node runs, and
-``run_tcp_multicoord_repair`` for sharded ones — and adding chained
-(pipelined) repair would have meant a fourth.  :class:`RepairSession`
-collapses them into a builder::
+A session picks the transport, sets it up, and hands the plan to the
+one coordinator-side lifecycle, :class:`~repro.runtime.driver.\
+RepairDriver`::
 
     from repro import RepairSession
 
@@ -18,6 +15,14 @@ collapses them into a builder::
         seed=7,
     ).run()
     print(summary.total_time, summary.chunks_verified)
+
+``"memory"`` builds an :class:`~repro.runtime.testbed.EmulatedTestbed`
+(in-process agents, stores and data) and drives its repair driver.
+``"tcp"`` and ``"shm"`` build the coordinator's
+:class:`~repro.net.TcpNetwork` or :class:`~repro.net.ShmNetwork`,
+wait for the agent processes to answer, drive the same lifecycle, and
+broadcast ``Shutdown``.  Journals, coordinator crashes, domain crashes
+and verification therefore mean the same thing on every transport.
 
 Pipelining is a *strategy flag*, not a separate code path: ``"chain"``
 rewrites every reconstruction in the plan to stream partial sums
@@ -48,7 +53,7 @@ from .obs.metrics import MetricsRegistry
 from .obs.tracing import Tracer
 from .runtime.config import DEFAULT_CONFIG, RuntimeConfig
 from .runtime.faults import FaultPlan
-from .runtime.journal import CoordinatorCrash
+from .runtime.driver import resolve_fault_plan
 
 #: supported transports, pipelining modes (validated at construction)
 TRANSPORTS = ("memory", "tcp", "shm")
@@ -78,7 +83,7 @@ RuntimeResult` or :class:`~repro.runtime.multicoord.MultiRepairResult`
     nacks: int = 0
     #: per-slice completions streamed back by destinations (chained)
     slices_completed: int = 0
-    #: coordinator restarts (memory) or shard takeovers (sharded)
+    #: coordinator restarts, or shard takeovers when sharded
     restarts: int = 0
     round_times: List[float] = field(default_factory=list)
     dead_nodes: List[int] = field(default_factory=list)
@@ -170,16 +175,20 @@ class RepairSession:
         config: runtime tuning; ``pipeline_slices`` is overridden from
             ``slices`` when pipelining is on.
         packet_size: transfer granularity (default chunk/16, >= 4 KiB).
-        journal_path: write-ahead journal (single coordinator).
-        journal_dir: journal directory for sharded runs.
+        journal_path: write-ahead journal (single coordinator); default
+            ``workdir/repair.journal`` when the fault plan kills
+            coordinators, else none.
+        journal_dir: journal directory for sharded runs; default
+            ``workdir/shards``.
         faults: declarative fault plan to inject.
-        topology: rack topology (resolves domain crashes).
+        topology: rack topology; required when the fault plan has
+            domain crashes.
         metrics, tracer: observability sinks shared with the driver.
         resume: (tcp/shm) recover from ``journal_path`` instead of
             starting fresh.
         agent_timeout: (tcp/shm) seconds to wait for agents to answer.
-        max_restarts: (memory) bound on coordinator crash-recovery
-            cycles before the injected crash is re-raised.
+        max_restarts: bound on coordinator crash-recovery cycles
+            before the injected crash is re-raised.
         scrub: (memory) run a post-repair checksum scrub of every
             store; the report lands in ``RepairSummary.scrub_report``.
         log: optional callback for human-readable progress events
@@ -256,6 +265,13 @@ class RepairSession:
                 )
         if transport == "memory" and peers is not None:
             raise ValueError("peers only applies to transport='tcp'")
+        if coordinators > 1 and journal_path is not None:
+            raise ValueError(
+                "journal_path is the single coordinator's journal; "
+                "sharded runs take journal_dir"
+            )
+        if faults is not None:
+            resolve_fault_plan(faults, topology)
         if isinstance(peers, str):
             from .net.launch import parse_peer_spec
 
@@ -314,14 +330,22 @@ class RepairSession:
 
         Repaired chunks are always verified byte-identical against the
         deterministic data set (raising
-        :class:`~repro.runtime.testbed.VerificationError` otherwise).
+        :class:`~repro.runtime.driver.VerificationError` otherwise).
         """
         effective = apply_pipelining(self.plan, self.pipelining)
         if self.transport == "memory":
             return self._run_memory(effective)
         return self._run_wire(effective)
 
-    def _summary(self, result, verified: int, restarts: int) -> RepairSummary:
+    def _drive(self, driver, plan: RepairPlan) -> RepairSummary:
+        result, restarts = driver.run(
+            plan,
+            coordinators=self.coordinators,
+            journal_dir=self.journal_dir,
+            max_restarts=self.max_restarts,
+            log=self.log,
+        )
+        verified = driver.verify_plan(plan, result)
         return RepairSummary(
             transport=self.transport,
             coordinators=self.coordinators,
@@ -351,59 +375,15 @@ class RepairSession:
             workdir=self.workdir,
             config=self.config,
             faults=self.faults,
-            journal_path=(
-                self.journal_path if self.coordinators <= 1 else None
-            ),
+            journal_path=self.journal_path,
             metrics=self.metrics,
             tracer=self.tracer,
             topology=self.topology,
             arbiter=self.arbiter,
         )
-        restarts = 0
         with testbed:
             testbed.load_random_data(seed=self.seed)
-            if self.coordinators > 1:
-                result = testbed.execute_sharded(
-                    plan, num_coordinators=self.coordinators
-                )
-                restarts = len(result.takeovers)
-                if self.log is not None:
-                    for event in result.takeovers:
-                        self.log(
-                            f"shard {event.shard} taken over by shard "
-                            f"{event.adopter} (epoch {event.epoch})"
-                        )
-            else:
-                try:
-                    result = testbed.execute(plan)
-                except CoordinatorCrash as crash:
-                    # Injected coordinator death: recover from the
-                    # journal under a bumped epoch, bounded so a crash
-                    # plan denser than the plan's rounds still ends.
-                    if self.log is not None:
-                        self.log(
-                            f"coordinator crashed: {crash}; recovering "
-                            "from journal"
-                        )
-                    while True:
-                        restarts += 1
-                        if restarts > self.max_restarts:
-                            raise
-                        testbed.restart_coordinator()
-                        try:
-                            result = testbed.resume()
-                            break
-                        except CoordinatorCrash as crash:
-                            if self.log is not None:
-                                self.log(
-                                    f"coordinator crashed again: {crash}; "
-                                    "recovering"
-                                )
-            testbed.verify_plan(plan, result)
-            verified = result.chunks_repaired + getattr(
-                result, "recovered_chunks", 0
-            )
-            summary = self._summary(result, verified, restarts)
+            summary = self._drive(testbed, plan)
             if self.scrub:
                 from .runtime.scrub import Scrubber
 
@@ -411,69 +391,51 @@ class RepairSession:
             return summary
 
     def _run_wire(self, plan: RepairPlan) -> RepairSummary:
-        from .net.launch import (
-            run_shm_repair,
-            run_tcp_multicoord_repair,
-            run_tcp_repair,
-            sharded_peer_spec,
-        )
+        from .net.launch import shm_network, shutdown_agents, tcp_network
+        from .runtime.coordinator import COORDINATOR_ID
+        from .runtime.driver import RepairDriver, stripe_checksums
 
-        if self.transport == "shm":
-            result, verified = run_shm_repair(
-                self.cluster,
-                self.codec,
-                plan,
-                self.workdir,
-                seed=self.seed,
+        if self.transport == "tcp":
+            # Coordinator endpoints (ids < 0) are hosted right here.
+            network = tcp_network(
+                {n: address for n, address in self.peers.items() if n >= 0},
+                listen=self.peers.get(COORDINATOR_ID),
                 config=self.config,
-                packet_size=self.packet_size,
-                journal_path=self.journal_path,
                 metrics=self.metrics,
-                tracer=self.tracer,
-                resume=self.resume,
-                agent_timeout=self.agent_timeout,
-                faults=self.faults,
             )
-            return self._summary(result, verified, 0)
-        if self.coordinators > 1:
-            result, verified = run_tcp_multicoord_repair(
+        else:
+            network = shm_network(
+                self.workdir,
+                COORDINATOR_ID,
+                self.cluster.nodes,
+                config=self.config,
+                metrics=self.metrics,
+            )
+        try:
+            driver = RepairDriver(
+                network,
                 self.cluster,
                 self.codec,
-                plan,
-                sharded_peer_spec(self.peers, self.coordinators),
                 self.workdir,
-                num_coordinators=self.coordinators,
-                seed=self.seed,
-                config=self.config,
                 packet_size=self.packet_size,
-                journal_dir=self.journal_dir,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                agent_timeout=self.agent_timeout,
+                config=self.config,
                 faults=self.faults,
                 topology=self.topology,
+                journal_path=self.journal_path,
+                resume=self.resume,
+                metrics=self.metrics,
+                tracer=self.tracer,
             )
-            if self.log is not None:
-                for event in result.takeovers:
-                    self.log(
-                        f"shard {event.shard} taken over by shard "
-                        f"{event.adopter} (epoch {event.epoch})"
-                    )
-            return self._summary(result, verified, len(result.takeovers))
-        result, verified = run_tcp_repair(
-            self.cluster,
-            self.codec,
-            plan,
-            self.peers,
-            self.workdir,
-            seed=self.seed,
-            config=self.config,
-            packet_size=self.packet_size,
-            journal_path=self.journal_path,
-            metrics=self.metrics,
-            tracer=self.tracer,
-            resume=self.resume,
-            agent_timeout=self.agent_timeout,
-            faults=self.faults,
-        )
-        return self._summary(result, verified, 0)
+            actions = list(plan.actions())
+            driver.wait_for_agents(
+                {a.destination for a in actions}
+                | {s for a in actions for s in a.sources},
+                timeout=self.agent_timeout,
+            )
+            driver.checksums.update(
+                stripe_checksums(self.cluster, self.codec, self.seed)
+            )
+            return self._drive(driver, plan)
+        finally:
+            shutdown_agents(network, self.cluster.nodes)
+            network.close()

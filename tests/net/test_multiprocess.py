@@ -257,6 +257,45 @@ def test_multiprocess_chained_sliced_repair(tmp_path, peer_map):
                 proc.communicate(timeout=10)
 
 
+def test_multiprocess_coordinator_crash_recovers(tmp_path, peer_map):
+    """A fault plan's coordinator crash fires over TCP too.
+
+    The driver's coordinator dies after round 0, is recovered from its
+    journal under a bumped epoch, and finishes the repair against the
+    same agent processes.
+    """
+    plan_file = tmp_path / "faults.json"
+    plan_file.write_text(json.dumps(
+        {"coordinator_crashes": [{"after_round": 0}]}
+    ))
+    agents, repair = _launch(
+        tmp_path, peer_map, extra_repair_args=("--fault-plan", str(plan_file)),
+    )
+    try:
+        assert repair.returncode == 0, repair.stdout + repair.stderr
+        assert "recovering from journal" in repair.stdout
+        assert "verified byte-identical" in repair.stdout
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["restarts"] >= 1
+        assert summary["chunks_verified"] == (
+            summary["chunks_repaired"] + summary["recovered_chunks"]
+        )
+        deadline = time.monotonic() + 30
+        for proc in agents:
+            out, _ = proc.communicate(
+                timeout=max(0.5, deadline - time.monotonic())
+            )
+            assert proc.returncode == 0, out.decode()
+    except BaseException:
+        _save_journal_artifact(tmp_path, "multiprocess_coordinator_crash")
+        raise
+    finally:
+        for proc in agents:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+
+
 # ----------------------------------------------------------------------
 # sharded multi-coordinator runs (DESIGN.md §11)
 # ----------------------------------------------------------------------

@@ -8,10 +8,13 @@ through the actual CLI entry points (``fastpr agent --transport shm`` /
 topology derives from the shared ``--workdir``.
 """
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -19,6 +22,7 @@ import pytest
 
 from repro.net import shm_available, shm_ring_name
 from repro.runtime import COORDINATOR_ID
+from repro.runtime.messages import Pong
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="needs POSIX shm + flock"
@@ -49,6 +53,56 @@ def test_ring_names_deterministic_per_workdir(tmp_path):
     assert a != shm_ring_name(tmp_path, 1)
     assert a != shm_ring_name(tmp_path / "other", 0)
     assert shm_ring_name(tmp_path, COORDINATOR_ID).endswith("-c")
+
+
+def test_send_waits_for_unpublished_ring():
+    """A ring visible by name before its header is written is not ready.
+
+    ``SharedMemory(create=True)`` makes the segment attachable before
+    the creator writes the capacity into its header.  A sender that
+    attaches in that window must keep retrying until the header is
+    published, not cache a zero-capacity ring that rejects every frame.
+    """
+    from multiprocessing import shared_memory
+
+    from repro.net import ShmNetwork, ShmRing, decode_frame
+    from repro.net.shm import _CREATED_HERE, _RING_HEADER
+
+    name = f"fpr-test-unpublished-{os.getpid()}"
+    capacity = 1 << 12
+    segment = shared_memory.SharedMemory(
+        name=name, create=True, size=_RING_HEADER.size + capacity
+    )
+    # This process owns the segment's tracker entry, as a ring creator.
+    _CREATED_HERE.add(name)
+    net = ShmNetwork(connect_timeout=10.0)
+    reader = None
+    try:
+        net.attach(0, None)
+        net.add_peer(1, name)
+        sender = threading.Thread(
+            target=net.send, args=(0, 1, Pong(node_id=0, nonce=5))
+        )
+        sender.start()
+        time.sleep(0.3)  # the sender attaches while the header is zero
+        _RING_HEADER.pack_into(segment.buf, 0, 0, 0, capacity)
+        sender.join(timeout=10)
+        assert not sender.is_alive()
+        reader = ShmRing(name)
+        frames = reader.read_frames()
+        assert len(frames) == 1
+        _src, dst, message = decode_frame(frames[0])
+        assert (dst, message.nonce) == (1, 5)
+        assert net.net.frames_sent.total() == 1
+    finally:
+        net.close()
+        if reader is not None:
+            reader.close()
+        segment.close()
+        segment.unlink()
+        _CREATED_HERE.discard(name)
+        with contextlib.suppress(OSError):
+            os.unlink(os.path.join(tempfile.gettempdir(), f"fpr-shm-{name}.lock"))
 
 
 @pytest.mark.parametrize(

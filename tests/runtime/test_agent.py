@@ -31,7 +31,7 @@ def rig(tmp_path):
     for node_id in (0, 1):
         net.attach(node_id, None)
         store = ChunkStore(tmp_path / f"n{node_id}", node_id, RateLimiter(None))
-        agents[node_id] = Agent(node_id, store, net, COORD, pipeline_depth=2)
+        agents[node_id] = Agent(node_id, store, net, COORD)
         agents[node_id].start()
     yield net, coord, agents
     for agent in agents.values():
@@ -80,6 +80,33 @@ class TestMigrationPath:
         net.send(COORD, 0, SendCommand(3, 0, 1, len(payload)))
         wait_ack(coord)
         assert agents[1].store.read(3) == payload
+
+
+    def test_superseded_assembly_keeps_retry_staging(self, rig):
+        # A retry's assembly writes the same staging file as the attempt
+        # it supersedes; the aborted attempt must not delete it, or the
+        # retry promotes a chunk with its early packets zeroed.
+        net, coord, agents = rig
+        payload = bytes(range(256)) * 16  # 4 packets of 1024 bytes
+        net.send(COORD, 1, ReceiveCommand(7, 2, len(payload), 1024, sources={0: 1}))
+        net.send(
+            COORD,
+            1,
+            ReceiveCommand(7, 2, len(payload), 1024, sources={0: 1}, attempt=1),
+        )
+
+        def deliver(offsets):
+            for offset in offsets:
+                net.send(0, 1, DataPacket(
+                    7, 2, 0, offset, payload[offset:offset + 1024], attempt=1
+                ))
+
+        deliver([0, 1024])
+        time.sleep(0.3)  # the aborted attempt-0 assembly winds down
+        deliver([2048, 3072])
+        ack = wait_ack(coord)
+        assert ack == RepairAck(7, 2, 1, attempt=1)
+        assert agents[1].store.read(7) == payload
 
 
 class TestReconstructionPath:

@@ -119,15 +119,34 @@ def test_exports_come_from_repro_modules():
 
 
 def test_deprecated_net_drivers_removed():
-    # The PR-8 one-release DeprecationWarning shims are gone: the
-    # per-transport drivers live only in repro.net.launch, and
-    # RepairSession is the supported way to drive a repair.
+    # The per-transport drivers are gone from repro.net and from
+    # repro.net.launch: RepairDriver is the one coordinator side on
+    # every transport, and RepairSession is the way to drive a repair.
     import repro.net as net
+    import repro.net.launch as launch
 
     for name in ("run_tcp_repair", "run_shm_repair",
                  "run_tcp_multicoord_repair"):
         assert not hasattr(net, name), name
         assert name not in net.__all__, name
+    for name in ("run_tcp_repair", "run_shm_repair", "_drive_repair",
+                 "run_tcp_multicoord_repair", "build_coordinator_network",
+                 "verify_actions", "run_shm_agent_process"):
+        assert not hasattr(launch, name), name
+
+
+def test_net_surface():
+    import repro.net as net
+
+    assert sorted(net.__all__) == sorted([
+        "COORDINATOR_ALIAS", "HEADER", "MAGIC", "MAX_META", "MAX_PAYLOAD",
+        "PeerSpecError", "ShmNetwork", "ShmRing", "TcpNetwork",
+        "WIRE_VERSION", "WireError", "allocate_ports", "decode_frame",
+        "encode_frame", "encode_frame_parts", "format_peer_spec",
+        "load_node_data", "parse_peer_spec", "run_agent_process",
+        "sharded_peer_spec", "shm_available", "shm_network",
+        "shm_ring_name", "tcp_network",
+    ])
 
 
 def test_obs_surface():
