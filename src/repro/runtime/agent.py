@@ -18,11 +18,20 @@ Each storage node runs an :class:`Agent` with:
 Migration and reconstruction share one code path: a migration is an
 assembly with a single source whose coefficient is 1.
 
+File handles: every chunk stream holds one open file for its whole
+life.  A sender's reader thread and a relay's read-ahead thread each
+open their chunk once (:meth:`ChunkStore.open_chunk`) and ``pread``
+every packet through it; an assembly's staging writer opens its
+``.part`` file once (:meth:`ChunkStore.open_staging`) and writes every
+region through it with ``pwrite``, closing it before the chunk is
+promoted.  No handle outlives its stream.
+
 Fault tolerance: every command carries an ``attempt`` number; stale
 packets and commands from superseded attempts are dropped, assemblies
 write to a staging file and promote atomically, failures that can be
-tied to an action are NACKed to the coordinator (instead of dying
-silently in a worker thread), and :meth:`crash` stands the whole agent
+tied to an action — a disk read failing on a stream's reader thread
+included — are NACKed to the coordinator (instead of dying silently in
+a worker thread), and :meth:`crash` stands the whole agent
 down the way a killed process would.
 
 Split-brain fencing: every command also carries the coordinator's
@@ -119,6 +128,72 @@ class AgentError(RuntimeError):
     """Raised (and recorded) on protocol violations inside an agent."""
 
 
+class _ChunkReader:
+    """Reads one stored chunk packet by packet on a read-ahead thread.
+
+    The thread opens the chunk once (:meth:`ChunkStore.open_chunk`) and
+    closes it when the stream ends, so a chunk stream costs one open,
+    not one per packet.  ``read(chunk, offset, length, slot)`` reads one
+    packet through that handle.  ``slots`` bound how far the reader runs
+    ahead: each read takes one, and the consumer hands it back with
+    :meth:`release` once it is done with the packet (the relay's slots
+    are its two preallocated buffers).  A read error is passed to the
+    consumer by :meth:`next` rather than dying in the thread; leaving
+    the ``with`` block stops the thread even mid-chunk.
+    """
+
+    def __init__(self, store: ChunkStore, stripe_id, offsets, read, slots, name):
+        self._free: "queue.Queue" = queue.Queue()
+        for slot in slots:
+            self._free.put(slot)
+        self._ready: "queue.Queue" = queue.Queue()
+        self._thread = threading.Thread(
+            target=self._run,
+            args=(store, stripe_id, offsets, read),
+            name=name,
+            daemon=True,
+        )
+        self._thread.start()
+
+    def _run(self, store: ChunkStore, stripe_id, offsets, read) -> None:
+        try:
+            with store.open_chunk(stripe_id) as chunk:
+                for offset, length in offsets:
+                    slot = self._free.get()
+                    if slot is _ABORT:
+                        return  # the stream ended early
+                    self._ready.put(
+                        (offset, slot, read(chunk, offset, length, slot))
+                    )
+        except Exception as exc:
+            self._ready.put(exc)
+
+    def next(self):
+        """``(offset, slot, packet)`` of the next packet, in order."""
+        item = self._ready.get()
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def release(self, slot) -> None:
+        self._free.put(slot)
+
+    def __enter__(self) -> "_ChunkReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._free.put(_ABORT)  # unblock the reader if it is still ahead
+        self._thread.join()
+
+
+def _packet_spans(size: int, packet_size: int):
+    """``(offset, length)`` of each packet of a ``size``-byte chunk."""
+    return [
+        (offset, min(packet_size, size - offset))
+        for offset in range(0, size, packet_size)
+    ]
+
+
 class _Assembly:
     """Accumulates coefficient-scaled packets into a repaired chunk.
 
@@ -174,30 +249,35 @@ class _Assembly:
     def _staging_writer(self) -> None:
         """Writer-thread body: flush completed regions to the .part file.
 
-        Each queued region is final — every source has contributed and
-        duplicates are dropped by the arrived-set — so the decode
-        thread never touches those buffer bytes again and the write
-        can proceed without copying them out (no ``tobytes``).
+        The staging file is opened once, when the writer starts, and
+        closed when it exits — before :meth:`run` returns, so before
+        the agent promotes the chunk.  Each queued region is final —
+        every source has contributed and duplicates are dropped by the
+        arrived-set — so the decode thread never touches those buffer
+        bytes again and the write can proceed without copying them out
+        (no ``tobytes``).
         """
+        stripe_id = self.command.stripe_id
         size = self.command.chunk_size
-        while True:
-            item = self._writes.get()
-            if item is None:
-                return
-            offset, end = item
-            started = time.perf_counter()
-            try:
-                self.store.write_packet(
-                    self.command.stripe_id,
-                    offset,
-                    self._buffer[offset:end],
-                    size,
-                    staged=True,
-                )
-            except BaseException as exc:  # surfaced by run() after join
-                self._write_error = exc
-                return
-            self.staging_seconds += time.perf_counter() - started
+        try:
+            with self.store.open_staging(stripe_id, size) as staging:
+                while True:
+                    item = self._writes.get()
+                    if item is None:
+                        return
+                    offset, end = item
+                    started = time.perf_counter()
+                    self.store.write_packet(
+                        stripe_id,
+                        offset,
+                        self._buffer[offset:end],
+                        size,
+                        staged=True,
+                        handle=staging,
+                    )
+                    self.staging_seconds += time.perf_counter() - started
+        except BaseException as exc:  # surfaced by run() after join
+            self._write_error = exc
 
     def run(self) -> bool:
         """Decode-thread body; returns False if aborted before done.
@@ -310,53 +390,40 @@ class _Relay:
         packet_size = slice_granularity(
             size, min(command.packet_size, size), command.num_slices
         )
-        offsets = range(0, size, packet_size)
         # Double-buffered chunk reads: a reader thread fills one
         # preallocated buffer while the GF math consumes the other, so
-        # (throttled) disk I/O overlaps compute.  Buffers cycle through
-        # a free-list, so one is never refilled before the math is done
-        # with it.
+        # (throttled) disk I/O overlaps compute.  The buffers are the
+        # reader's slots, so one is never refilled before the math is
+        # done with it.
         bufs = [
             np.empty(packet_size, dtype=np.uint8),
             np.empty(packet_size, dtype=np.uint8),
         ]
-        free: "queue.Queue" = queue.Queue()
-        free.put(0)
-        free.put(1)
-        ready: "queue.Queue" = queue.Queue()
 
-        def read_ahead():
-            try:
-                for offset in offsets:
-                    length = min(packet_size, size - offset)
-                    index = free.get()
-                    if index is None:
-                        return  # relay finished early (abort/supersede)
-                    self.store.read_packet_into(
-                        command.stripe_id, offset, bufs[index][:length]
-                    )
-                    ready.put((index, length))
-            except Exception as exc:
-                ready.put(exc)
+        def fill(chunk, offset: int, length: int, index: int) -> np.ndarray:
+            own = bufs[index][:length]
+            self.store.read_packet_into(
+                command.stripe_id, offset, own, handle=chunk
+            )
+            return own
 
-        reader = threading.Thread(
-            target=read_ahead,
+        spans = _packet_spans(size, packet_size)
+        with _ChunkReader(
+            self.store,
+            command.stripe_id,
+            spans,
+            fill,
+            slots=range(len(bufs)),
             name=f"agent-{self.agent.node_id}-relay-read",
-            daemon=True,
-        )
-        reader.start()
-        try:
-            for offset in offsets:
-                item = ready.get()
-                if isinstance(item, BaseException):
-                    raise item
-                index, length = item
-                own = bufs[index][:length]
+        ) as reader:
+            for _ in spans:
+                offset, index, own = reader.next()
+                length = len(own)
                 # Fresh output per packet: the transport may reference
                 # the payload from its send queue after we return, so
                 # send buffers are never reused (ownership transfers).
                 out = gf_mul_bytes(command.coeff, own)
-                free.put(index)  # own is consumed; reader may refill
+                reader.release(index)  # own is consumed; reader may refill
                 if not command.first:
                     upstream = self._next_upstream(offset)
                     if upstream is None:
@@ -396,9 +463,6 @@ class _Relay:
                 self.agent.network.send(
                     self.agent.node_id, command.destination, packet
                 )
-        finally:
-            free.put(None)  # unblock the reader if it is still ahead
-            reader.join()
 
     def _next_upstream(self, offset: int) -> Optional[DataPacket]:
         """Next valid upstream packet for ``offset``; None on abort."""
@@ -1199,43 +1263,32 @@ class Agent:
                 )
 
     def _stream_chunk(self, command: SendCommand) -> None:
-        """Read the local chunk packet-by-packet and stream it out."""
-        size = self.store.size(command.stripe_id)
-        packet_size = min(command.packet_size, size)
-        offsets = list(range(0, size, packet_size))
-        if len(offsets) < 2:
-            # One packet: nothing to overlap.
-            for offset in offsets:
-                self._send_packet(
-                    command,
-                    offset,
-                    self.store.read_packet(command.stripe_id, offset, size),
-                )
-            return
-        buffer: "queue.Queue" = queue.Queue(maxsize=PIPELINE_DEPTH)
+        """Read the local chunk packet-by-packet and stream it out.
 
-        def reader():
-            for offset in offsets:
-                length = min(packet_size, size - offset)
-                buffer.put(
-                    (
-                        offset,
-                        self.store.read_packet(
-                            command.stripe_id, offset, length
-                        ),
-                    )
-                )
+        A read failure reaches this loop through the reader and raises
+        here, so :meth:`_send_loop` NACKs the action and moves on.
+        """
+        stripe_id = command.stripe_id
+        size = self.store.size(stripe_id)
+        spans = _packet_spans(size, min(command.packet_size, size))
 
-        reader_thread = threading.Thread(
-            target=self._guard(reader),
+        def read(chunk, offset: int, length: int, slot) -> bytes:
+            return self.store.read_packet(
+                stripe_id, offset, length, handle=chunk
+            )
+
+        with _ChunkReader(
+            self.store,
+            stripe_id,
+            spans,
+            read,
+            slots=range(PIPELINE_DEPTH),
             name=f"agent-{self.node_id}-read",
-            daemon=True,
-        )
-        reader_thread.start()
-        for _ in offsets:
-            offset, payload = buffer.get()
-            self._send_packet(command, offset, payload)
-        reader_thread.join()
+        ) as reader:
+            for _ in spans:
+                offset, slot, payload = reader.next()
+                reader.release(slot)
+                self._send_packet(command, offset, payload)
 
     def _send_packet(
         self, command: SendCommand, offset: int, payload: bytes

@@ -286,6 +286,11 @@ HelperBudget`; when set, each round's helper/destination node slots
         self._deferred: List[object] = []
         self._nonce = 0
         self._recovered: Optional[RecoveredState] = None
+        #: newest attempt issued per action key, kept across execute
+        #: calls: a re-execute after a failed run reissues one attempt
+        #: up, so it supersedes (and aborts) the failed run's leftover
+        #: assemblies instead of colliding with their generation
+        self._attempts: Dict[ActionKey, int] = {}
 
     def close(self) -> None:
         """Release the journal's file handle (idempotent)."""
@@ -619,14 +624,14 @@ HelperBudget`; when set, each round's helper/destination node slots
     ) -> None:
         cfg = self.config
         actions: Dict[ActionKey, ChunkRepairAction] = {}
-        attempts: Dict[ActionKey, int] = {}
+        attempts = self._attempts
         retries: Dict[ActionKey, int] = {}
         spans: Dict[ActionKey, Span] = {}
         for action in round_actions:
             healed = self._heal(plan, action, result)
             key = (action.stripe_id, action.chunk_index)
             actions[key] = healed
-            attempts[key] = 0
+            attempts[key] = attempts[key] + 1 if key in attempts else 0
             retries[key] = 0
             # Non-lexical span: opened at command issue, closed when
             # the matching ACK arrives (possibly after reissues).
@@ -638,7 +643,7 @@ HelperBudget`; when set, each round's helper/destination node slots
                 chunk=healed.chunk_index,
                 destination=healed.destination,
             )
-            self._issue(healed, packet, attempt=0)
+            self._issue(healed, packet, attempt=attempts[key])
         pending: Set[ActionKey] = set(actions)
         deadline = time.monotonic() + self._round_deadline(actions.values())
         while pending:

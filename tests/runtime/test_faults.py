@@ -273,6 +273,35 @@ class TestTimeoutsAndErrors:
         finally:
             testbed.shutdown(check_errors=False)
 
+    def test_reexecute_after_timeout_supersedes_leftovers(self, tmp_path):
+        # A timed-out run leaves its last attempts' assemblies waiting at
+        # the destinations.  Re-executing the plan on the same
+        # coordinator must issue newer attempts that supersede them,
+        # not reuse their generation ("duplicate assembly" NACK) or an
+        # older one (dropped as stale) and stall into retries.
+        config = dataclasses.replace(
+            FAST, ack_timeout=5.0, min_deadline=0.5, max_retries=1
+        )
+        cluster, testbed = make_testbed(
+            tmp_path,
+            faults=FaultPlan(links=[LinkFault(drop=1.0)]),
+            config=config,
+            num_stripes=4,
+        )
+        try:
+            plan = MigrationOnlyPlanner().plan(cluster, 0)
+            with pytest.raises(RepairTimeoutError):
+                testbed.execute(plan)
+            testbed.faults = testbed.network.faults = None  # links heal
+            started = time.monotonic()
+            result = testbed.execute(plan)
+            elapsed = time.monotonic() - started
+            testbed.verify_plan(plan, result)
+            assert (result.nacks, result.retries) == (0, 0)
+            assert elapsed < config.ack_timeout / 2
+        finally:
+            testbed.shutdown(check_errors=False)
+
     def test_shutdown_surfaces_agent_errors(self, tmp_path):
         cluster, testbed = make_testbed(tmp_path)
         # Garbage with no action key: recorded locally, raised at
